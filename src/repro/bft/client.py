@@ -11,7 +11,7 @@ concurrently inside one benchmark.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.bft.config import BFTConfig
 from repro.bft.messages import Busy, Reply, Request, SpecReply
@@ -235,9 +235,11 @@ class Client(Node):
             self._disarm_retry()
             invocation.callback(message.result)
 
-    def _note_reply(self, message: Reply, src: str) -> None:
+    def _note_reply(self, message: Union[Reply, SpecReply], src: str) -> None:
         """Hook for subclasses that need per-replica reply provenance (the
-        transactional vote client snapshots it into commit certificates)."""
+        transactional vote client snapshots it into commit certificates).
+        Called for committed and tentative replies alike: under speculative
+        execution the 2f+1 tentative replies are the accepted quorum."""
 
     def _on_spec_reply(self, message: SpecReply, src: str) -> None:
         """Tentative replies from speculating replicas.  Acceptance rule (the
@@ -263,6 +265,7 @@ class Client(Node):
             self.counters.add("reply_bad_auth")
             return
         invocation.tentative[src] = (message.view, message.result)
+        self._note_reply(message, src)
         matching = [
             t
             for t in invocation.tentative.values()

@@ -80,6 +80,17 @@ class Cluster:
     def service(self, replica_id: str) -> StateMachine:
         return self.hosts[replica_id].service
 
+    @property
+    def clusters(self) -> List["Cluster"]:
+        """The deployment's groups: one.  Code written against the members
+        :class:`~repro.bft.sharding.ShardedCluster` shares with this class
+        (``clusters``, ``shard``, ``sim``, ``client``, ``heal``, ...) runs on
+        either."""
+        return [self]
+
+    def shard(self, shard: int) -> "Cluster":
+        return self.clusters[shard]
+
     def client(self, client_id: str, cls: Optional[type] = None) -> Client:
         """Get-or-create a client.  ``cls`` picks the client class on first
         creation (e.g. the transactional vote client); a cached client is

@@ -335,33 +335,8 @@ def sharded_kv_cluster(
 ) -> ShardedCluster:
     """S KV groups on one simulator; each shard's service runs transactional
     (one cell per shard reserved for the 2PC participant table)."""
-    sim = Simulator(seed=seed)
-    shardmap = ShardMap(num_shards, num_shards * objects_per_shard)
-    clusters = []
-    for shard in range(num_shards):
-        disks: Dict[str, dict] = {}
-
-        def factory_for(replica_id: str, disks=disks):
-            disks.setdefault(replica_id, {})
-
-            def make() -> KVStateMachine:
-                return KVStateMachine(
-                    num_slots=objects_per_shard + 1,
-                    disk=disks[replica_id],
-                    transactional=True,
-                )
-
-            return make
-
-        cluster = Cluster(
-            factory_for,
-            config=config,
-            sim=sim,
-            net_config=_per_shard_net_config(net_config),
-        )
-        cluster.disks = disks  # destroy_group wipes these in place
-        clusters.append(cluster)
-    return ShardedCluster(clusters, shardmap)
+    sharded, _recorders = _build(num_shards, config, seed, objects_per_shard, net_config)
+    return sharded
 
 
 def sharded_recording_cluster(
@@ -376,26 +351,42 @@ def sharded_recording_cluster(
     :class:`~repro.bft.testing.HistoryRecorder` per shard, returned in shard
     order.  Per-replica disks are kept internally so state (and recorded
     histories) survives proactive-recovery reboots."""
+    return _build(
+        num_shards, config, seed, objects_per_shard, net_config, repair, record=True
+    )
+
+
+def _build(
+    num_shards: int,
+    config: Optional[BFTConfig],
+    seed: int,
+    objects_per_shard: int,
+    net_config: Optional[NetworkConfig],
+    repair=None,
+    record: bool = False,
+) -> Tuple[ShardedCluster, List[HistoryRecorder]]:
     sim = Simulator(seed=seed)
     shardmap = ShardMap(num_shards, num_shards * objects_per_shard)
     clusters = []
     recorders: List[HistoryRecorder] = []
     for shard in range(num_shards):
-        recorder = HistoryRecorder()
-        recorders.append(recorder)
+        recorder = HistoryRecorder() if record else None
+        if recorder is not None:
+            recorders.append(recorder)
         disks: Dict[str, dict] = {}
 
         def factory_for(replica_id: str, recorder=recorder, disks=disks):
             disks.setdefault(replica_id, {})
 
-            def make() -> RecordingKV:
-                return RecordingKV(
-                    recorder,
-                    replica_id,
+            def make() -> KVStateMachine:
+                kwargs = dict(
                     num_slots=objects_per_shard + 1,
                     disk=disks[replica_id],
                     transactional=True,
                 )
+                if recorder is None:
+                    return KVStateMachine(**kwargs)
+                return RecordingKV(recorder, replica_id, **kwargs)
 
             return make
 

@@ -32,10 +32,10 @@ decided way without acquiring locks.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.bft.client import Client
-from repro.bft.messages import Message, Reply, TxnDecide, TxnPrepare
+from repro.bft.messages import Message, Reply, SpecReply, TxnDecide, TxnPrepare
 from repro.util.stats import Counters
 from repro.util.xdr import XdrDecoder, XdrEncoder, XdrError
 
@@ -308,7 +308,7 @@ class VoteClient(Client):
         self.last_replies = {}
         return super().invoke_async(op, callback, read_only=read_only)
 
-    def _note_reply(self, message: Reply, src: str) -> None:
+    def _note_reply(self, message: Union[Reply, SpecReply], src: str) -> None:
         self.last_replies[src] = message.result
 
 

@@ -11,10 +11,16 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.explore.plan import FaultPlan
-from repro.explore.runner import explore, replay
+from repro.explore.plan import (
+    DESTRUCTION_KINDS,
+    IMPLEMENTATION_KINDS,
+    OVERLOAD_KINDS,
+    FaultPlan,
+    unsupported,
+)
+from repro.explore.runner import explore, run_plan
 from repro.explore.shrink import load_artifact, write_artifact
-from repro.faults.plant import PLANTED_BUGS, SHARDED_PLANTED_BUGS
+from repro.faults.plant import PLANTED_BUGS, SHARDED_PLANTED_BUGS, planted_bugs
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -114,64 +120,40 @@ def explore_main(argv: List[str]) -> int:
     if args.shards < 1:
         print("explore: --shards must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    log = None if args.quiet else print
-    if args.shards > 1:
-        if args.impl_faults or args.overload or args.fast_path:
-            print(
-                "explore: --impl-faults/--overload/--fast-path are "
-                "single-group features; not supported with --shards",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if args.plant is not None and args.plant not in SHARDED_PLANTED_BUGS:
-            print(
-                f"explore: plant {args.plant!r} targets a single group; "
-                f"sharded plants: {sorted(SHARDED_PLANTED_BUGS)}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        from repro.explore.sharded import explore_sharded
-
-        result = explore_sharded(
-            budget=args.budget,
-            seed=args.seed,
-            requests=args.requests,
-            max_steps=args.max_steps,
-            num_shards=args.shards,
-            plant=args.plant,
-            check_interval=args.check_interval,
-            shrink=not args.no_shrink,
-            destruction=args.destroy_group,
-            log=log,
+    kinds = set()
+    for flag, flag_kinds in (
+        (args.impl_faults, IMPLEMENTATION_KINDS),
+        (args.overload, OVERLOAD_KINDS),
+        (args.destroy_group, DESTRUCTION_KINDS),
+    ):
+        if flag:
+            kinds |= flag_kinds
+    problem = unsupported(kinds, args.shards)
+    if problem is not None:
+        print(f"explore: --shards {args.shards}: {problem}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.plant is not None and args.plant not in planted_bugs(args.shards):
+        print(
+            f"explore: plant {args.plant!r} does not apply to --shards "
+            f"{args.shards}; plants there: {sorted(planted_bugs(args.shards))}",
+            file=sys.stderr,
         )
-    else:
-        if args.destroy_group:
-            print(
-                "explore: --destroy-group needs a fused-backup tier over "
-                "several groups; pass --shards 2 (or more)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if args.plant is not None and args.plant not in PLANTED_BUGS:
-            print(
-                f"explore: plant {args.plant!r} needs a sharded deployment; "
-                f"pass --shards 2 (or more)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        result = explore(
-            budget=args.budget,
-            seed=args.seed,
-            requests=args.requests,
-            max_steps=args.max_steps,
-            plant=args.plant,
-            check_interval=args.check_interval,
-            shrink=not args.no_shrink,
-            implementation_faults=args.impl_faults,
-            overload=args.overload,
-            log=log,
-            config_overrides=FAST_PATH_OVERRIDES if args.fast_path else None,
-        )
+        return EXIT_USAGE
+    result = explore(
+        budget=args.budget,
+        seed=args.seed,
+        requests=args.requests,
+        max_steps=args.max_steps,
+        plant=args.plant,
+        check_interval=args.check_interval,
+        shrink=not args.no_shrink,
+        implementation_faults=args.impl_faults,
+        overload=args.overload,
+        log=None if args.quiet else print,
+        config_overrides=FAST_PATH_OVERRIDES if args.fast_path else None,
+        shards=args.shards,
+        destruction=args.destroy_group,
+    )
     if not result.found:
         print(
             f"explore: {result.plans_run} plans (seed {result.seed}) "
@@ -248,26 +230,13 @@ def replay_main(argv: List[str]) -> int:
     except (ValueError, KeyError) as exc:
         print(f"replay: malformed artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if shards > 1:
-        if args.fast_path:
-            print(
-                "replay: --fast-path is a single-group feature; this artifact "
-                "was recorded against a sharded deployment",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        from repro.explore.sharded import replay_sharded
-
-        outcome = replay_sharded(
-            plan, num_shards=shards, plant=plant, check_interval=args.check_interval
-        )
-    else:
-        outcome = replay(
-            plan,
-            plant=plant,
-            check_interval=args.check_interval,
-            config_overrides=FAST_PATH_OVERRIDES if args.fast_path else None,
-        )
+    outcome = run_plan(
+        plan,
+        shards=shards,
+        plant=plant,
+        check_interval=args.check_interval,
+        config_overrides=FAST_PATH_OVERRIDES if args.fast_path else None,
+    )
     if outcome.violation is None:
         print(
             f"replay: no violation (recorded run saw [{recorded.get('oracle')}]); "

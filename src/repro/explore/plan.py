@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 PLAN_FORMAT_VERSION = 1
 
@@ -97,6 +97,36 @@ STEP_KINDS: FrozenSet[str] = (
     | DESTRUCTION_KINDS
 )
 
+# Step kinds only a single-group deployment supports: overload swarms,
+# implementation faults and campaigns all use that group's slot layout
+# (poison, corruption and swarm bands), which sharded groups do not have.
+SINGLE_GROUP_KINDS: FrozenSet[str] = IMPLEMENTATION_KINDS | OVERLOAD_KINDS | CAMPAIGN_KINDS
+
+
+def unsupported(kinds: Iterable[str], shards: int, topology: str = "") -> Optional[str]:
+    """Why a deployment of ``shards`` groups cannot run steps of ``kinds``
+    (or a plan naming ``topology``); ``None`` when it can.
+
+    ``destroy_group`` needs the fused-backup tier, which rebuilds a group
+    from its sibling groups, so it needs ``shards >= 2``; overload,
+    implementation-fault and campaign steps (and topology presets) are
+    single-group features.
+    """
+    kinds = set(kinds)
+    if shards == 1 and kinds & DESTRUCTION_KINDS:
+        return (
+            f"step kinds {sorted(kinds & DESTRUCTION_KINDS)} need a sharded "
+            f"deployment (shards >= 2) with a fused-backup tier"
+        )
+    if shards > 1 and kinds & SINGLE_GROUP_KINDS:
+        return (
+            f"step kinds {sorted(kinds & SINGLE_GROUP_KINDS)} are single-group "
+            f"features, not supported on a sharded deployment"
+        )
+    if shards > 1 and topology:
+        return "topology presets are not supported on a sharded deployment"
+    return None
+
 
 @dataclass(frozen=True)
 class FaultStep:
@@ -137,6 +167,10 @@ class FaultStep:
     count: int = 0
     factor: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.kind not in STEP_KINDS:
+            raise ValueError(f"unknown fault step kind {self.kind!r}")
+
     def to_dict(self) -> Dict:
         entry: Dict = {"at": self.at, "kind": self.kind}
         if self.target:
@@ -165,8 +199,6 @@ class FaultStep:
 
     @classmethod
     def from_dict(cls, entry: Dict) -> "FaultStep":
-        if entry["kind"] not in STEP_KINDS:
-            raise ValueError(f"unknown fault step kind {entry['kind']!r}")
         return cls(
             at=float(entry["at"]),
             kind=entry["kind"],
@@ -215,6 +247,9 @@ class FaultPlan:
 
     def has_destruction(self) -> bool:
         return any(s.kind in DESTRUCTION_KINDS for s in self.steps)
+
+    def kinds(self) -> FrozenSet[str]:
+        return frozenset(s.kind for s in self.steps)
 
     def pure_overload(self) -> bool:
         """Fault-free saturation: every step is an overload episode.  Only
@@ -283,9 +318,6 @@ def validate_plan(plan: FaultPlan, f: int = 1) -> List[str]:
     crashed: set = set()
     partitioned = False
     for step in plan.steps:
-        if step.kind not in STEP_KINDS:
-            problems.append(f"unknown kind {step.kind!r}")
-            continue
         if step.at < last_at:
             problems.append(f"steps not time-ordered at t={step.at}")
         last_at = step.at

@@ -166,6 +166,11 @@ SHARDED_PLANTED_BUGS: Dict[str, Callable] = {
 }
 
 
+def planted_bugs(shards: int) -> Dict[str, Callable]:
+    """The plants a deployment of ``shards`` groups takes."""
+    return PLANTED_BUGS if shards == 1 else SHARDED_PLANTED_BUGS
+
+
 #: Source-level mirrors of the runtime plants, for the *static* analyzer.
 #:
 #: The runtime plants above monkey-patch live replica objects, which an AST

@@ -7,7 +7,9 @@ rotation runs iff the plan's ``recovery_period`` says so, and a resumable
 :class:`~repro.faults.scenarios.AvailabilityProbe` measures windowed
 availability the whole way.  Safety oracles are installed as a continuous
 simulator hook for the entire horizon — they are *never* suspended, not even
-inside declared beyond-assumption windows.
+inside declared beyond-assumption windows.  The cluster, its oracles and
+every fault applier come from :class:`~repro.explore.runner.FaultRun`, the
+core the explore runner uses too; this module adds the probe and the SLO.
 
 The verdict is a :class:`SoakReport`: per-window availability, coalesced
 outage spans, MTTR integrated from the recovery log, and the availability
@@ -24,36 +26,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bft.config import BFTConfig
-from repro.bft.testing import encode_set, recording_cluster
-from repro.explore.oracles import OracleSuite, OracleViolation
-from repro.explore.plan import (
-    CAMPAIGN_KINDS,
-    FaultPlan,
-    beyond_assumption_windows,
-    validate_plan,
-)
+from repro.bft.testing import encode_set
+from repro.explore.oracles import OracleViolation
+from repro.explore.plan import FaultPlan, beyond_assumption_windows, validate_plan
+# WAN_CONFIG_OVERRIDES lives next to the builder; re-exported for importers.
+from repro.explore.runner import WAN_CONFIG_OVERRIDES, FaultRun, run_config  # noqa: F401
 from repro.faults.scenarios import AvailabilityProbe
-from repro.net.network import NetworkConfig
-from repro.soak.campaign import CampaignContext, campaign_horizon
+from repro.soak.campaign import campaign_horizon
 
 SOAK_ARTIFACT_VERSION = 1
 
 #: The probe writes the liveness slot, disjoint from every campaign band.
 _PROBE_SLOT = 31
-
-#: WAN-tuned protocol timers: inter-region one-way latencies approach 0.1s,
-#: so the LAN defaults (250ms view-change patience, 50ms gossip) would turn
-#: ordinary cross-region commits into view-change churn.  Applied by
-#: ``run_soak`` whenever the plan names a topology.
-WAN_CONFIG_OVERRIDES: Dict[str, object] = {
-    "view_change_timeout": 1.5,
-    "status_interval": 0.5,
-    "client_retry": 0.5,
-    "client_retry_max": 2.0,
-    "pending_ttl": 5.0,
-}
-
 
 @dataclass(frozen=True)
 class SoakSLO:
@@ -192,54 +176,16 @@ def run_soak(
     problems = validate_plan(plan)
     if problems:
         raise ValueError(f"invalid campaign plan: {problems}")
-    if plan.has_destruction():
-        # Soak drives one BASE group; destroy_group needs the fused-backup
-        # tier over several (repro explore --shards N --destroy-group).
-        raise ValueError("destroy_group requires a sharded exploration run")
-    overrides: Dict = {}
-    if plan.topology:
-        overrides.update(WAN_CONFIG_OVERRIDES)
-    overrides.update(config_overrides or {})
-    cluster, recorder = recording_cluster(
-        config=BFTConfig(
-            checkpoint_interval=16,
-            log_window=64,
-            recovery_period=plan.recovery_period,
-            **overrides,
-        ),
-        net_config=NetworkConfig(
-            delay=0.0005, jitter=0.0005, drop_rate=plan.drop_rate
-        ),
-        seed=plan.seed,
+    run = FaultRun(
+        plan,
+        run_config(plan, config_overrides, checkpoint_interval=16, log_window=64),
+        check_interval=check_interval,
     )
-    context = CampaignContext(cluster, plan)
-    suite = OracleSuite(cluster, recorder, check_interval=check_interval)
-    suite.install()
-
-    if plan.recovery_period > 0:
-        cluster.start_proactive_recovery()
-
-    # Non-campaign steps (plain crashes, drops, Byzantine arming) reuse the
-    # explore runner's applier, so a campaign may mix in classic faults.
-    from repro.explore.runner import _apply_step
-
-    drop_removers: List[Callable[[], None]] = []
-    for step in plan.steps:
-        if step.kind in CAMPAIGN_KINDS:
-            cluster.sim.schedule(
-                max(0.0, step.at), lambda s=step: context.apply(s)
-            )
-        else:
-            cluster.sim.schedule(
-                max(0.0, step.at),
-                lambda s=step: _apply_step(cluster, s, drop_removers),
-            )
-
-    client = cluster.client("S0")
-    context.place("S0")
+    run.start()
+    cluster = run.deployment
     probe = AvailabilityProbe(
         cluster.sim,
-        client,
+        run.client("S0"),
         make_op=lambda n: encode_set(_PROBE_SLOT, b"soak:%d" % n),
         op_timeout=op_timeout,
         gap=gap,
@@ -266,18 +212,12 @@ def run_soak(
             probe.run_until(horizon, ops_per_segment=32)
     except OracleViolation as caught:
         safety_violations.append(caught.violation.to_dict())
-    finally:
-        context.stop()
 
     if not safety_violations:
         # Heal everything, then sweep the oracles one final time.
-        cluster.heal()
-        cluster.restart_all_down()
-        for remove in drop_removers:
-            remove()
-        cluster.settle(5.0)
+        run.heal(5.0)
         try:
-            suite.check_now()
+            run.suite.check_now()
         except OracleViolation as caught:
             safety_violations.append(caught.violation.to_dict())
 
@@ -351,8 +291,8 @@ def run_soak(
         safety_violations=safety_violations,
         mttr=mttr,
         counters=counters,
-        swarm_offered=context.offered(),
-        swarm_completed=context.completed(),
+        swarm_offered=run.offered(),
+        swarm_completed=run.swarm_completed(),
     )
 
 

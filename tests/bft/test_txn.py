@@ -241,3 +241,26 @@ def test_abort_needs_no_certificate():
     _prepare(service, "t1", [(1, b"a")])
     assert _decide(service, "t1", False, votes=[]) == TXN_ABORTED
     assert not service.participant.locked(1)
+
+
+# -- transactions on the fast path -------------------------------------------
+
+
+def test_cross_shard_txn_commits_under_speculative_execution():
+    """Speculating replicas answer the vote with tentative replies; the
+    client accepts 2f+1 of them, and the vote client must record their
+    provenance so the coordinator counts a certified commit vote."""
+    from repro.bft.config import BFTConfig
+    from repro.bft.sharding import sharded_kv_cluster
+
+    sharded = sharded_kv_cluster(
+        2, config=BFTConfig(speculative_execution=True), seed=3
+    )
+    client = sharded.client("C0")
+    assert client.invoke_txn([(1, b"left"), (17, b"right")], timeout=8.0) is True
+    sharded.settle(1.0)
+    assert sharded.shard(0).service("R0").cells[1] == b"left"
+    assert sharded.shard(1).service("R0").cells[1] == b"right"
+    totals = sharded.total_counters()
+    assert totals.get("tentative_replies_accepted") > 0
+    assert totals.get("txns_committed") == 1

@@ -61,7 +61,7 @@ def test_disabling_damping_regresses_into_view_changes():
     the primary to timeout-driven view changes mid-episode, which the strict
     goodput oracle reports as a violation."""
     plan = overload_plan(OVERLOAD_RATES[0])
-    verdict = run_plan(plan, overload_damping=False)
+    verdict = run_plan(plan, config_overrides={"overload_damping": False})
     assert verdict.violation is not None
     assert verdict.violation.oracle == "overload-goodput"
     assert verdict.counters["view_changes_started"] > 0

@@ -8,6 +8,7 @@ from repro.explore.plan import (
     FaultPlan,
     FaultStep,
     generate_plan,
+    unsupported,
     validate_plan,
 )
 
@@ -103,3 +104,32 @@ def test_from_dict_rejects_unknown_version():
     payload["version"] = 99
     with pytest.raises(ValueError):
         FaultPlan.from_dict(payload)
+
+
+def test_unknown_step_kind_fails_at_construction():
+    with pytest.raises(ValueError, match="unknown fault step kind"):
+        FaultStep(at=0.1, kind="client_swarm")
+    with pytest.raises(ValueError, match="unknown fault step kind"):
+        FaultStep.from_dict({"at": 0.1, "kind": "client_swarm"})
+
+
+@pytest.mark.parametrize(
+    "kinds,shards,topology,rejected",
+    [
+        ({"crash", "partition", "equivocate"}, 1, "", False),
+        ({"crash", "partition", "equivocate"}, 2, "", False),
+        ({"destroy_group"}, 1, "", True),
+        ({"destroy_group", "drop"}, 2, "", False),
+        ({"overload"}, 1, "", False),
+        ({"overload"}, 2, "", True),
+        ({"poison_request"}, 3, "", True),
+        ({"flash_crowd"}, 2, "", True),
+        (set(), 1, "wan3", False),
+        (set(), 2, "wan3", True),
+    ],
+)
+def test_unsupported_decides_step_kinds_by_deployment_size(
+    kinds, shards, topology, rejected
+):
+    problem = unsupported(kinds, shards, topology)
+    assert (problem is not None) == rejected

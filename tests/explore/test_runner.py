@@ -13,7 +13,6 @@ from repro.explore import (
     explore,
     generate_plan,
     load_artifact,
-    replay,
     run_plan,
 )
 from repro.explore.shrink import write_artifact
@@ -65,7 +64,7 @@ def test_planted_bug_found_and_shrunk(plant, seed, budget, tmp_path):
     path = tmp_path / "repro.json"
     write_artifact(path, result.shrunk_plan, result.shrunk_violation, plant=plant)
     loaded_plan, recorded, loaded_plant = load_artifact(path)
-    outcome = replay(loaded_plan, plant=loaded_plant)
+    outcome = run_plan(loaded_plan, plant=loaded_plant)
     assert outcome.violation is not None
     assert outcome.violation.oracle == recorded["oracle"]
     assert outcome.violation.detail == recorded["detail"]

@@ -109,3 +109,44 @@ def test_replay_malformed_artifact_exits_2(tmp_path, capsys):
 
 def test_explore_usage_error_exits_2(capsys):
     assert main(["explore", "--budget", "0"]) == 2
+
+
+def test_sharded_explore_planted_bug_exits_1_and_replays(tmp_path, capsys):
+    import json
+
+    out = tmp_path / "repro.json"
+    code = main(
+        ["explore", "--shards", "2", "--budget", "5", "--seed", "0",
+         "--requests", "16", "--plant", "split-brain-decide", "--quiet",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert json.loads(out.read_text())["shards"] == 2
+
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert "reproduces the recorded violation exactly" in capsys.readouterr().out
+
+
+def test_sharded_explore_on_the_fast_path_exits_0(tmp_path, capsys):
+    out = tmp_path / "repro.json"
+    code = main(
+        ["explore", "--shards", "2", "--fast-path", "--budget", "3",
+         "--seed", "0", "--requests", "12", "--quiet", "--out", str(out)]
+    )
+    assert code == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--destroy-group"],
+        ["--plant", "split-brain-decide"],
+        ["--impl-faults", "--shards", "2"],
+    ],
+    ids=["destroy-without-shards", "sharded-plant-without-shards", "impl-faults-sharded"],
+)
+def test_explore_rejects_features_the_deployment_size_lacks(argv, capsys):
+    assert main(["explore", "--budget", "1", "--quiet", *argv]) == 2
+    assert "--shards" in capsys.readouterr().err
