@@ -148,7 +148,7 @@ def kv_throughput_fast() -> Metrics:
             checkpoint_interval=16,
             log_window=64,
             batch_max=16,
-            pipeline_depth=8,
+            max_outstanding=8,
             speculative_execution=True,
         )
     )

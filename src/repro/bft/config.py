@@ -20,7 +20,9 @@ class BFTConfig:
     max_outstanding:    max ordering instances in flight at the primary;
                         requests arriving while the pipeline is full
                         accumulate and are batched (this is what makes
-                        batching happen at all).
+                        batching happen at all).  The fast path widens it
+                        (e.g. 8) to pipeline ordering; it must stay below
+                        log_window.
     view_change_timeout: backup patience for an unexecuted request, seconds.
     status_interval:    period of status/retransmission gossip, seconds.
     client_retry:       initial client retransmission delay, seconds; doubles
@@ -49,9 +51,6 @@ class BFTConfig:
                         oldest queued request makes no progress; after that a
                         view change proceeds even under load (starvation
                         escape hatch).
-    pipeline_depth:     fast path — widen the primary's ordering pipeline to
-                        this many concurrent in-flight sequence slots
-                        (0 keeps the baseline ``max_outstanding`` bound).
     speculative_execution: fast path — execute batches tentatively at
                         prepare-quorum time (one phase early) and answer with
                         SpecReply; rolled back on view change or divergence,
@@ -80,7 +79,6 @@ class BFTConfig:
     pending_ttl: float = 2.0
     overload_damping: bool = True
     overload_damping_max: int = 8
-    pipeline_depth: int = 0
     speculative_execution: bool = False
     read_leases: bool = False
 
@@ -102,6 +100,11 @@ class BFTConfig:
             raise ConfigurationError("batch_max must be >= 1")
         if self.max_outstanding < 1:
             raise ConfigurationError("max_outstanding must be >= 1")
+        if self.max_outstanding >= self.log_window:
+            raise ConfigurationError(
+                "max_outstanding must be smaller than log_window (in-flight "
+                "slots all have to fit inside the water-mark window)"
+            )
         if self.client_retry_max < self.client_retry:
             raise ConfigurationError("client_retry_max must be >= client_retry")
         if self.admission_capacity < self.batch_max:
@@ -117,19 +120,6 @@ class BFTConfig:
             )
         if self.overload_damping_max < 1:
             raise ConfigurationError("overload_damping_max must be >= 1")
-        if self.pipeline_depth < 0:
-            raise ConfigurationError("pipeline_depth must be >= 0 (0 disables)")
-        if self.pipeline_depth >= self.log_window:
-            raise ConfigurationError(
-                "pipeline_depth must be smaller than log_window (in-flight "
-                "slots all have to fit inside the water-mark window)"
-            )
-
-    @property
-    def outstanding_window(self) -> int:
-        """Ordering instances the primary may keep in flight: the fast-path
-        ``pipeline_depth`` when set, else the baseline ``max_outstanding``."""
-        return self.pipeline_depth if self.pipeline_depth > 0 else self.max_outstanding
 
     @property
     def n(self) -> int:

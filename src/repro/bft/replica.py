@@ -4,17 +4,16 @@ Implements the three-phase PBFT ordering protocol (pre-prepare / prepare /
 commit) with request batching, at-most-once execution per client, periodic
 checkpoints with 2f+1 certificates, log garbage collection, and a
 status-gossip retransmission channel that lets lagging replicas catch up.
-View changes, state transfer, and proactive recovery live in sibling modules
-and are wired in here as managers.
+View changes, state transfer, proactive recovery and the optional fast path
+(:mod:`repro.bft.fastpath`) live in sibling modules and are wired in here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from typing import Set, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.bft.config import BFTConfig
+from repro.bft.fastpath import FastPath
 from repro.bft.log import MessageLog, Slot
 from repro.bft.messages import (
     Busy,
@@ -40,7 +39,6 @@ from repro.bft.messages import (
     Reply,
     Request,
     RetransmitCommitted,
-    SpecReply,
     Status,
     TransferRoot,
     ViewChange,
@@ -118,20 +116,11 @@ class Replica(Node):
         self.crash_seqno = 0  # ordering position being executed when we died
         self.tracer: Tracer = None  # type: ignore[assignment]  # optional, set by the deployment
 
-        # Fast path: open speculation frames, oldest first — (seqno, keys of
-        # tentatively replied requests, batch digest).  Frames are contiguous
-        # from last_executed + 1; promotion pops the head, rollback clears
-        # all.  _tentative_replies marks (client, reqid) pairs whose recorded
-        # reply is still speculative, so retransmissions are answered with
-        # SpecReply rather than a (false) committed Reply.
-        self.spec_frames: List[Tuple[int, List[Tuple[str, int]], bytes]] = []
-        self._tentative_replies: Set[Tuple[str, int]] = set()
-        # Fast path: read lease held by this replica — (view, epoch, min
-        # executed seqno) — and, at the primary, the epoch currently granted
-        # and not yet revoked.
-        self._lease: Optional[Tuple[int, int, int]] = None
-        self._lease_granted: Optional[int] = None
-        self._lease_epoch = 0
+        # Speculation and read leases (repro.bft.fastpath): absent unless
+        # the configuration turns one of them on.
+        self.fast_path: Optional[FastPath] = None
+        if config.speculative_execution or config.read_leases:
+            self.fast_path = FastPath(self)
 
         # The genesis state is an implicitly certified checkpoint: label it 0
         # so this replica can serve it to recovering peers before the first
@@ -231,10 +220,9 @@ class Replica(Node):
             self.on_checkpoint_cert(message, src)
         elif isinstance(message, RetransmitCommitted):
             self.on_retransmit(message, src)
-        elif isinstance(message, Lease):
-            self.on_lease(message, src)
-        elif isinstance(message, LeaseRevoke):
-            self.on_lease_revoke(message, src)
+        elif isinstance(message, (Lease, LeaseRevoke)):
+            if self.fast_path is not None:
+                self.fast_path.on_message(message, src)
         elif isinstance(message, (ViewChange, NewView)):
             self.view_changes.on_message(message, src)
         elif isinstance(message, (FetchRoot, FetchMeta, FetchObject)):
@@ -260,36 +248,12 @@ class Replica(Node):
         if recorded is not None and request.reqid <= recorded[0]:
             if request.reqid == recorded[0]:
                 # Retransmission of the latest executed request: resend the
-                # recorded reply (at-most-once semantics).  A reply recorded
-                # by an open speculation frame is NOT committed — claiming so
-                # would let a client accept f+1 "committed" replies for a
-                # batch that only ever prepared, which is unsafe.
-                if key in self._tentative_replies:
-                    self.auth_send(
-                        request.client_id,
-                        SpecReply(
-                            view=self.view,
-                            reqid=request.reqid,
-                            client_id=request.client_id,
-                            replica_id=self.node_id,
-                            result=recorded[1],
-                        ),
-                    )
-                else:
-                    self.auth_send(
-                        request.client_id,
-                        Reply(
-                            view=self.view,
-                            reqid=request.reqid,
-                            client_id=request.client_id,
-                            replica_id=self.node_id,
-                            result=recorded[1],
-                        ),
-                    )
+                # recorded reply (at-most-once semantics).
+                if self.fast_path is None or not self.fast_path.resend(request, recorded[1]):
+                    self.send_reply(request, recorded[1])
             self.counters.add("duplicate_requests")
             return
         if request.read_only:
-            self._maybe_grant_lease()
             self._execute_read_only(request)
             return
         if key in self.in_flight:
@@ -361,17 +325,8 @@ class Replica(Node):
     def _execute_read_only(self, request: Request) -> None:
         if self.view_changes.in_view_change or self.recovering:
             return
-        if self.spec_frames:
-            # Tentative state must not leak through the read-only path: a
-            # speculated write could still be rolled back.  The client's
-            # read-only timeout falls back to an ordered request.
-            self.counters.add("read_only_deferred")
+        if self.fast_path is not None and not self.fast_path.admit_read():
             return
-        if self.config.read_leases:
-            if not self._lease_valid():
-                self.counters.add("leased_reads_refused")
-                return
-            self.counters.add("leased_reads_served")
         try:
             result = self.service.execute(
                 request.op, request.client_id, b"", read_only=True
@@ -379,32 +334,34 @@ class Replica(Node):
         except FaultInjected as fault:
             self.crash_self(str(fault))
             return
-        reply = Reply(
-            view=self.view,
-            reqid=request.reqid,
-            client_id=request.client_id,
-            replica_id=self.node_id,
-            result=result,
-            read_only=True,
-        )
         self.counters.add("read_only_executed")
-        self.auth_send(request.client_id, reply)
+        self.send_reply(request, result, read_only=True)
+
+    def send_reply(self, request: Request, result: bytes, read_only: bool = False) -> None:
+        self.auth_send(
+            request.client_id,
+            Reply(
+                view=self.view,
+                reqid=request.reqid,
+                client_id=request.client_id,
+                replica_id=self.node_id,
+                result=result,
+                read_only=read_only,
+            ),
+        )
 
     # -- primary: batching and pre-prepare ---------------------------------------------------
 
     def try_send_pre_prepare(self) -> None:
         if not self.is_primary() or self.view_changes.in_view_change or self.recovering:
             return
-        if self.config.read_leases and self.pending and self._lease_granted is not None:
-            # A write is about to be proposed: kill every outstanding read
-            # lease first, so no replica serves a leased read concurrently
-            # with the mutation it conflicts with.
-            self._revoke_lease()
+        if self.fast_path is not None and self.pending:
+            self.fast_path.on_write()
         while self.pending:
             next_seqno = self.next_seqno + 1
             if not self.in_window(next_seqno):
                 return
-            if next_seqno - self.last_executed > self.config.outstanding_window:
+            if next_seqno - self.last_executed > self.config.max_outstanding:
                 return  # pipeline full; later arrivals will batch up
             batch: List[Request] = []
             for key in list(self.pending):
@@ -477,11 +434,8 @@ class Replica(Node):
                 self.counters.add("conflicting_pre_prepare")
             return
         slot.pre_prepare = pre_prepare
-        if self.config.read_leases and self._lease is not None and pre_prepare.requests:
-            # Seeing a write proposal conflicts with any lease we hold; drop
-            # it locally without waiting for the primary's revocation.
-            self._lease = None
-            self.counters.add("leases_self_revoked")
+        if self.fast_path is not None and pre_prepare.requests:
+            self.fast_path.on_write()
         # Remove batched requests from our pending queue; they are in flight.
         # Requests we already executed (e.g. a new-view O re-proposing work
         # from before we were partitioned away) are *not* in flight for us:
@@ -559,7 +513,8 @@ class Replica(Node):
         self.counters.add("commits_sent")
         self.auth_multicast(commit)
         self._maybe_execute(slot)
-        self._try_speculate()
+        if self.fast_path is not None:
+            self.fast_path.speculate()
 
     def on_commit(self, commit: Commit, src: str) -> None:
         if not self.check_auth(commit):
@@ -605,36 +560,29 @@ class Replica(Node):
     # -- in-order execution ------------------------------------------------------------------------
 
     def execute_ready(self) -> None:
-        """Execute committed batches in sequence-number order, promoting
-        batches the fast path already ran tentatively."""
+        """Execute committed batches in sequence-number order."""
         while (self.last_executed + 1) in self.committed:
             seqno = self.last_executed + 1
             pre_prepare = self.committed[seqno]
-            if self.spec_frames and self.spec_frames[0][0] == seqno:
-                if self.spec_frames[0][2] == pre_prepare.batch_digest():
-                    self._promote_speculation()
-                else:
-                    # Divergence: the committed batch is not the one we ran
-                    # tentatively (possible only across view changes).  Undo
-                    # every frame, then execute the committed batch for real.
-                    self._rollback_speculation("divergence")
-                    self._execute_batch(seqno, pre_prepare)
-            else:
-                self._execute_batch(seqno, pre_prepare)
+            if self.fast_path is None or not self.fast_path.promote(seqno, pre_prepare):
+                self._execute_batch(pre_prepare)
             self.last_executed = seqno
             self._last_commit_time = self.now()
             self._relayed_once = False
             if seqno % self.config.checkpoint_interval == 0:
                 self._take_checkpoint(seqno)
         self._rearm_request_timer()
-        self._try_speculate()
+        if self.fast_path is not None:
+            self.fast_path.speculate()
         if self.is_primary():
             self.try_send_pre_prepare()
-            self._maybe_grant_lease()
+            if self.fast_path is not None:
+                self.fast_path.grant_lease()
 
-    def _execute_batch(
-        self, seqno: int, pre_prepare: PrePrepare, tentative: bool = False
-    ) -> None:
+    def _execute_batch(self, pre_prepare: PrePrepare, reply: Optional[Callable] = None) -> None:
+        """Run a batch's requests in order; ``reply(request, result)``
+        answers each one (default: a committed :class:`Reply`)."""
+        reply = reply or self.send_reply
         for request in pre_prepare.requests:
             key = (request.client_id, request.reqid)
             recorded = self.service.last_recorded(request.client_id)
@@ -654,178 +602,7 @@ class Replica(Node):
             self.service.record_reply(request.client_id, request.reqid, result)
             self._purge_superseded(request.client_id, request.reqid)
             self.in_flight.discard(key)
-            if tentative:
-                self.spec_frames[-1][1].append(key)
-                self._tentative_replies.add(key)
-                self.counters.add("spec_replies_sent")
-                self.auth_send(
-                    request.client_id,
-                    SpecReply(
-                        view=self.view,
-                        reqid=request.reqid,
-                        client_id=request.client_id,
-                        replica_id=self.node_id,
-                        result=result,
-                    ),
-                )
-            else:
-                self.auth_send(
-                    request.client_id,
-                    Reply(
-                        view=self.view,
-                        reqid=request.reqid,
-                        client_id=request.client_id,
-                        replica_id=self.node_id,
-                        result=result,
-                    ),
-                )
-
-    # -- speculative execution (fast path) -----------------------------------------------
-
-    def _try_speculate(self) -> None:
-        """Run prepared-but-uncommitted batches tentatively, in order.
-
-        Speculation advances a *tentative* execution pointer ahead of
-        ``last_executed``; every speculated batch has an undo frame in the
-        service, popped on promotion (its commit certificate arrived) or
-        unwound on view change, divergence, or state transfer.  Checkpoint
-        boundaries are never speculated: taking a checkpoint freezes state
-        that a rollback would have to repudiate, so boundary batches wait for
-        their commit certificates and execute on the committed path.
-        """
-        if not self.config.speculative_execution:
-            return
-        if self.view_changes.in_view_change or self.recovering or self.transfer.active:
-            return
-        while not self._stopped:
-            seqno = self.last_executed + len(self.spec_frames) + 1
-            if seqno % self.config.checkpoint_interval == 0:
-                return
-            if not self.in_window(seqno):
-                return
-            slot = self.log.get(self.view, seqno)
-            if slot is None or slot.pre_prepare is None:
-                return
-            if slot.executed or slot.spec_executed:
-                return
-            if not self.log.prepared(slot, self.node_id):
-                return
-            slot.spec_executed = True
-            self.spec_frames.append(
-                (seqno, [], slot.pre_prepare.batch_digest())
-            )
-            self.service.begin_speculation()
-            self.counters.add("spec_batches")
-            self._execute_batch(seqno, slot.pre_prepare, tentative=True)
-
-    def _promote_speculation(self) -> None:
-        """The oldest speculated batch gathered its commit certificate: its
-        tentative executions become permanent.  No replies are resent — the
-        client either accepted the 2f+1 tentative quorum already, or its
-        retransmission now hits the recorded-reply path and gets a committed
-        Reply."""
-        _seqno, replied, _digest = self.spec_frames.pop(0)
-        self.service.commit_speculation()
-        for key in replied:
-            self._tentative_replies.discard(key)
-        self.counters.add("spec_promotions")
-
-    def _rollback_speculation(self, reason: str) -> None:
-        """Undo every open speculation frame (newest first, inside the
-        service) and forget their tentative replies.  Requests rolled back
-        here were already purged from pending/in-flight at speculation time;
-        a client that still wants one will retransmit it."""
-        if not self.spec_frames:
-            return
-        rolled = len(self.spec_frames)
-        self.service.rollback_speculation()
-        for _seqno, replied, _digest in self.spec_frames:
-            for key in replied:
-                self._tentative_replies.discard(key)
-        self.spec_frames.clear()
-        self.counters.add("spec_rollbacks")
-        self.counters.add("spec_batches_rolled_back", rolled)
-        emit(
-            self.tracer,
-            self.node_id,
-            "speculation_rolled_back",
-            reason=reason,
-            batches=rolled,
-        )
-
-    # -- read leases (fast path) ----------------------------------------------------------
-
-    def _lease_valid(self) -> bool:
-        lease = self._lease
-        return (
-            lease is not None
-            and lease[0] == self.view
-            and self.last_executed >= lease[2]
-            and not self.view_changes.in_view_change
-        )
-
-    def _maybe_grant_lease(self) -> None:
-        """Primary: grant a read lease to every replica once the write
-        pipeline has fully drained (nothing queued, assigned, or
-        speculated).  The grant carries our executed seqno so holders refuse
-        to serve until they have caught up to the granted state."""
-        if not self.config.read_leases or not self.is_primary():
-            return
-        if self.view_changes.in_view_change or self.recovering or self.transfer.active:
-            return
-        if self._lease_granted is not None:
-            return
-        if self.pending or self.spec_frames or self.next_seqno > self.last_executed:
-            return
-        self._lease_epoch += 1
-        self._lease_granted = self._lease_epoch
-        lease = Lease(
-            view=self.view,
-            epoch=self._lease_epoch,
-            seqno=self.last_executed,
-            primary_id=self.node_id,
-        )
-        self.counters.add("lease_grants")
-        self._lease = (self.view, self._lease_epoch, self.last_executed)
-        self.auth_multicast(lease)
-
-    def _revoke_lease(self) -> None:
-        revoke = LeaseRevoke(
-            view=self.view, epoch=self._lease_granted or 0, primary_id=self.node_id
-        )
-        self._lease_granted = None
-        self._lease = None
-        self.counters.add("lease_revokes")
-        self.auth_multicast(revoke)
-
-    def on_lease(self, lease: Lease, src: str) -> None:
-        if not self.config.read_leases:
-            return
-        if not self.check_auth(lease, expected_sender=lease.primary_id):
-            return
-        if src != lease.primary_id or lease.primary_id != self.config.primary(lease.view):
-            return
-        if lease.view != self.view or self.view_changes.in_view_change:
-            return
-        current = self._lease
-        if current is not None and (current[0], current[1]) >= (lease.view, lease.epoch):
-            return
-        self._lease = (lease.view, lease.epoch, lease.seqno)
-        self.counters.add("leases_held")
-
-    def on_lease_revoke(self, revoke: LeaseRevoke, src: str) -> None:
-        if not self.config.read_leases:
-            return
-        if not self.check_auth(revoke, expected_sender=revoke.primary_id):
-            return
-        if src != revoke.primary_id or revoke.primary_id != self.config.primary(
-            revoke.view
-        ):
-            return
-        lease = self._lease
-        if lease is not None and lease[0] == revoke.view and lease[1] <= revoke.epoch:
-            self._lease = None
-            self.counters.add("leases_revoked")
+            reply(request, result)
 
     def _purge_superseded(self, client_id: str, reqid: int) -> None:
         """Executing reqid ``r`` for a client makes every queued reqid <= r
@@ -916,7 +693,8 @@ class Replica(Node):
         # If the quorum certified state we never executed, we are behind:
         # the ordering messages for it may already be garbage-collected.
         if self.last_executed < cert.seqno:
-            self._rollback_speculation("state-transfer")
+            if self.fast_path is not None:
+                self.fast_path.reset("state-transfer")
             self.transfer.start(cert)
         if self.is_primary():
             self.try_send_pre_prepare()
@@ -1304,11 +1082,8 @@ class Replica(Node):
 
     def after_state_transfer(self, seqno: int, cert: CheckpointCert) -> None:
         """Called by the transfer manager once fetched state is installed."""
-        # Speculation cannot survive an installed checkpoint: frames were
-        # rolled back before the transfer began, and install_fetched resets
-        # the service wholesale — drop any stale replica-side bookkeeping.
-        self.spec_frames.clear()
-        self._tentative_replies.clear()
+        if self.fast_path is not None:
+            self.fast_path.reset("state-transfer")
         self.last_executed = max(self.last_executed, seqno)
         self.next_seqno = max(self.next_seqno, seqno)
         self._last_commit_time = self.now()

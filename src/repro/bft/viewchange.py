@@ -302,12 +302,8 @@ class ViewChangeManager:
 
     def _adopt_new_view(self, new_view: NewView, min_s: int) -> None:
         replica = self.replica
-        # The fast path cannot cross a view boundary: tentative executions
-        # were ordered by the old primary and the new view's O set may order
-        # those seqnos differently, and read leases are per-view grants.
-        replica._rollback_speculation("view-change")
-        replica._lease = None
-        replica._lease_granted = None
+        if replica.fast_path is not None:
+            replica.fast_path.reset("view-change")
         replica.view = new_view.view
         replica.next_seqno = max(
             replica.next_seqno,
@@ -356,7 +352,8 @@ class ViewChangeManager:
 
         replica._rearm_request_timer()
         replica.try_send_pre_prepare()
-        replica._maybe_grant_lease()
+        if replica.fast_path is not None:
+            replica.fast_path.grant_lease()
 
     # -- helping laggards -------------------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from repro.explore.plan import (
     DESTRUCTION_KINDS,
     IMPLEMENTATION_KINDS,
     OVERLOAD_KINDS,
-    FaultPlan,
     unsupported,
 )
 from repro.explore.runner import explore, run_plan
@@ -101,9 +100,10 @@ def _explore_parser() -> argparse.ArgumentParser:
 
 
 #: BFTConfig overrides applied by ``--fast-path`` (kept in one place so
-#: explore and replay exercise the identical configuration).
+#: explore and replay exercise the identical configuration; the artifact
+#: records ``"fast_path": true`` and replay reads it).
 FAST_PATH_OVERRIDES = {
-    "pipeline_depth": 8,
+    "max_outstanding": 8,
     "speculative_execution": True,
     "read_leases": True,
 }
@@ -170,6 +170,7 @@ def explore_main(argv: List[str]) -> int:
         plant=args.plant,
         original_plan=result.plan if result.shrunk_plan else None,
         shards=args.shards,
+        fast_path=args.fast_path,
     )
     print(
         f"explore: VIOLATION [{final_violation.oracle}] after "
@@ -197,12 +198,6 @@ def _replay_parser() -> argparse.ArgumentParser:
         default=10,
         help="events between oracle sweeps (default 10; must match the artifact run)",
     )
-    parser.add_argument(
-        "--fast-path",
-        action="store_true",
-        help="replay under the fast-path configuration (must match the "
-        "configuration the artifact was recorded with)",
-    )
     return parser
 
 
@@ -222,6 +217,7 @@ def replay_main(argv: List[str]) -> int:
         if raw.get("format") == "soak":
             return _replay_soak(path)
         shards = int(raw.get("shards", 1))
+        fast_path = bool(raw.get("fast_path", False))
     except (ValueError, OSError) as exc:
         print(f"replay: malformed artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -235,7 +231,7 @@ def replay_main(argv: List[str]) -> int:
         shards=shards,
         plant=plant,
         check_interval=args.check_interval,
-        config_overrides=FAST_PATH_OVERRIDES if args.fast_path else None,
+        config_overrides=FAST_PATH_OVERRIDES if fast_path else None,
     )
     if outcome.violation is None:
         print(
@@ -290,9 +286,3 @@ def _replay_soak(path: Path) -> int:
         else "replay: WARNING - soak verdict differs from the recorded one"
     )
     return EXIT_OK if report.ok else EXIT_VIOLATION
-
-
-def plan_from_artifact(path) -> FaultPlan:
-    """Convenience accessor used by tests and tooling."""
-    plan, _violation, _plant = load_artifact(path)
-    return plan

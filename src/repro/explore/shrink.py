@@ -123,6 +123,7 @@ def artifact_dict(
     plant: Optional[str] = None,
     original_plan: Optional[FaultPlan] = None,
     shards: int = 1,
+    fast_path: bool = False,
 ) -> Dict:
     data: Dict = {
         "version": ARTIFACT_VERSION,
@@ -136,20 +137,14 @@ def artifact_dict(
         # Emitted only for sharded runs: single-group artifacts stay
         # byte-identical to version-1 files written before sharding existed.
         data["shards"] = shards
+    if fast_path:
+        data["fast_path"] = True  # likewise written only when set
     return data
 
 
-def write_artifact(
-    path,
-    plan: FaultPlan,
-    violation: Violation,
-    plant: Optional[str] = None,
-    original_plan: Optional[FaultPlan] = None,
-    shards: int = 1,
-) -> None:
-    data = artifact_dict(
-        plan, violation, plant=plant, original_plan=original_plan, shards=shards
-    )
+def write_artifact(path, plan: FaultPlan, violation: Violation, **fields) -> None:
+    """Write :func:`artifact_dict` (``fields`` are its keyword options)."""
+    data = artifact_dict(plan, violation, **fields)
     Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 

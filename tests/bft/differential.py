@@ -32,15 +32,15 @@ from repro.explore.runner import RunOutcome, run_plan
 #: so a failure isolates which mechanism broke equivalence.
 DIFF_CONFIGS: Tuple[Tuple[str, Dict], ...] = (
     ("baseline", {}),
-    ("pipelined", {"pipeline_depth": 8}),
+    ("pipelined", {"max_outstanding": 8}),
     (
         "speculative",
-        {"pipeline_depth": 8, "speculative_execution": True},
+        {"max_outstanding": 8, "speculative_execution": True},
     ),
     (
         "fast-path",
         {
-            "pipeline_depth": 8,
+            "max_outstanding": 8,
             "speculative_execution": True,
             "read_leases": True,
         },

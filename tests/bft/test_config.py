@@ -39,6 +39,12 @@ def test_log_window_must_cover_two_checkpoints():
         BFTConfig(checkpoint_interval=16, log_window=16)
 
 
+def test_max_outstanding_must_fit_the_log_window():
+    with pytest.raises(ConfigurationError):
+        BFTConfig(checkpoint_interval=8, log_window=16, max_outstanding=16)
+    assert BFTConfig(checkpoint_interval=8, log_window=16, max_outstanding=15)
+
+
 def test_checkpoint_interval_positive():
     with pytest.raises(ConfigurationError):
         BFTConfig(checkpoint_interval=0)

@@ -138,6 +138,40 @@ def test_sharded_explore_on_the_fast_path_exits_0(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fast_path_artifact_replays_on_the_fast_path(tmp_path, capsys):
+    """A violation found with --fast-path records the configuration, so a
+    plain replay runs the fast path again and reproduces it."""
+    import json
+
+    out = tmp_path / "repro.json"
+    code = main(
+        ["explore", "--fast-path", "--overload", "--budget", "6", "--seed", "0",
+         "--requests", "12", "--quiet", "--out", str(out)]
+    )
+    assert code == 1
+    assert json.loads(out.read_text())["fast_path"] is True
+
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert "reproduces the recorded violation exactly" in capsys.readouterr().out
+
+
+def test_replay_takes_the_configuration_from_the_artifact(tmp_path, capsys):
+    """There is no replay flag to pick the fast path: it would only let a
+    replay disagree with the recorded run."""
+    from repro.explore.oracles import Violation
+    from repro.explore.plan import generate_plan
+    from repro.explore.shrink import write_artifact
+
+    path = tmp_path / "benign.json"
+    write_artifact(
+        path,
+        generate_plan(0, requests=8),
+        Violation(oracle="prefix", detail="recorded elsewhere", time=1.0, event_index=5),
+    )
+    assert main(["replay", "--fast-path", str(path)]) == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
